@@ -2,7 +2,7 @@
 //! cache, FCT scenario runner, queue sampling, and result output.
 
 use acc_core::controller::{self, AccConfig};
-use acc_core::guard::{install_guarded_acc, GuardConfig, GuardStats, GuardedController};
+use acc_core::guard::{GuardConfig, GuardStats, GuardedController};
 use acc_core::static_ecn::{install_static, StaticEcnPolicy};
 use acc_core::trainer;
 use acc_core::ActionSpace;
@@ -93,7 +93,7 @@ impl Policy {
     /// Whether the policy's installer is partition-invariant — i.e. each
     /// switch's behaviour depends on that switch alone, never on which
     /// other switches share its process — and so may run sharded (see
-    /// [`install_policy_sharded`]). The guarded arms share a global replay
+    /// [`install_policy`]). The guarded arms share a global replay
     /// buffer and are the only exceptions.
     pub fn partition_invariant(self) -> bool {
         !matches!(self, Policy::AccGuarded | Policy::AccMonitored)
@@ -110,101 +110,56 @@ pub fn acc_config(seed: u64) -> AccConfig {
     cfg
 }
 
-/// Install `policy` on all switches of `sim`.
+/// Install `policy` on all switches of `sim`. ACC agents share one global
+/// replay memory unless the simulator is sharded — at every shard count,
+/// including one, since that is what the byte-identity contract compares —
+/// where each keeps a private one (see [`controller::install_acc_with`]).
+/// The guarded arms also fold guard statistics across switches mid-run;
+/// they are not partition-invariant and are rejected on a sharded simulator.
 pub fn install_policy(sim: &mut Simulator, policy: Policy, scale: Scale) {
-    let space = ActionSpace::templates();
-    match policy {
-        Policy::Secn0 => install_static(sim, StaticEcnPolicy::Secn0),
-        Policy::Secn1 => install_static(sim, StaticEcnPolicy::Secn1),
-        Policy::Secn2 => install_static(sim, StaticEcnPolicy::Secn2),
-        Policy::Vendor => install_static(sim, StaticEcnPolicy::Vendor),
-        Policy::Acc => {
-            let model = pretrained_model(scale);
-            let cfg = trainer::online_config(&acc_config(11), 0.08, 500.0);
-            controller::install_acc_with_model(sim, &cfg, &space, &model);
-        }
-        Policy::AccFresh => {
-            let cfg = acc_config(13);
-            controller::install_acc(sim, &cfg, &space);
-        }
+    let sharded = sim.core().is_sharded();
+    if sharded && !policy.partition_invariant() {
+        panic!(
+            "policy {} is not partition-invariant (guarded ACC shares a \
+             global replay buffer) and cannot run sharded",
+            policy.name()
+        );
+    }
+    let (cfg, model, guard) = match policy {
+        Policy::Secn0 => return install_static(sim, StaticEcnPolicy::Secn0),
+        Policy::Secn1 => return install_static(sim, StaticEcnPolicy::Secn1),
+        Policy::Secn2 => return install_static(sim, StaticEcnPolicy::Secn2),
+        Policy::Vendor => return install_static(sim, StaticEcnPolicy::Vendor),
+        Policy::Acc => (
+            trainer::online_config(&acc_config(11), 0.08, 500.0),
+            Some(pretrained_model(scale)),
+            None,
+        ),
+        Policy::AccFresh => (acc_config(13), None, None),
         Policy::AccFreshScalar => {
             let mut cfg = acc_config(13);
             cfg.scalar_inference = true;
-            controller::install_acc(sim, &cfg, &space);
+            (cfg, None, None)
         }
-        Policy::AccFrozen => {
-            let model = pretrained_model(scale);
-            let cfg = trainer::frozen_config(&acc_config(17));
-            controller::install_acc_with_model(sim, &cfg, &space, &model);
-        }
+        Policy::AccFrozen => (
+            trainer::frozen_config(&acc_config(17)),
+            Some(pretrained_model(scale)),
+            None,
+        ),
         // Both guard arms wrap the same fresh agent as AccFresh (same seed,
         // no pretrained model — keeps the comparison in-process
         // deterministic and the exploration phase violation-rich).
-        Policy::AccGuarded => {
-            let cfg = acc_config(13);
-            install_guarded_acc(sim, &cfg, &space, &GuardConfig::default());
-        }
+        Policy::AccGuarded => (acc_config(13), None, Some(GuardConfig::default())),
         Policy::AccMonitored => {
-            let cfg = acc_config(13);
             let guard = GuardConfig {
                 enforce: false,
                 ..GuardConfig::default()
             };
-            install_guarded_acc(sim, &cfg, &space, &guard);
+            (acc_config(13), None, Some(guard))
         }
-    }
-}
-
-/// Install `policy` on all switches of a **sharded** `sim`, restricted to
-/// installers whose behaviour is partition-invariant (a function of the
-/// switch alone, never of which other switches share its process):
-///
-/// * static policies — per-switch, stateless: invariant as-is;
-/// * ACC variants — routed through
-///   [`controller::install_acc_independent`], which gives every switch a
-///   private replay buffer seeded by its global index. This differs from
-///   the unsharded [`install_policy`] (whose `install_acc` shares one
-///   replay across switches, making trajectories depend on process
-///   grouping), so sharded experiments use this installer at **every**
-///   shard count, including one — that is what the byte-identity contract
-///   compares.
-///
-/// The guarded arms share a global replay *and* fold guard statistics
-/// across switches mid-run; they are not partition-invariant and are
-/// rejected here.
-pub fn install_policy_sharded(sim: &mut Simulator, policy: Policy, scale: Scale) {
+    };
     let space = ActionSpace::templates();
-    match policy {
-        Policy::Secn0 => install_static(sim, StaticEcnPolicy::Secn0),
-        Policy::Secn1 => install_static(sim, StaticEcnPolicy::Secn1),
-        Policy::Secn2 => install_static(sim, StaticEcnPolicy::Secn2),
-        Policy::Vendor => install_static(sim, StaticEcnPolicy::Vendor),
-        Policy::Acc => {
-            let model = pretrained_model(scale);
-            let cfg = trainer::online_config(&acc_config(11), 0.08, 500.0);
-            controller::install_acc_independent(sim, &cfg, &space, Some(&model));
-        }
-        Policy::AccFresh => {
-            controller::install_acc_independent(sim, &acc_config(13), &space, None);
-        }
-        Policy::AccFreshScalar => {
-            let mut cfg = acc_config(13);
-            cfg.scalar_inference = true;
-            controller::install_acc_independent(sim, &cfg, &space, None);
-        }
-        Policy::AccFrozen => {
-            let model = pretrained_model(scale);
-            let cfg = trainer::frozen_config(&acc_config(17));
-            controller::install_acc_independent(sim, &cfg, &space, Some(&model));
-        }
-        Policy::AccGuarded | Policy::AccMonitored => {
-            panic!(
-                "policy {} is not partition-invariant (guarded ACC shares a \
-                 global replay buffer) and cannot run sharded",
-                policy.name()
-            );
-        }
-    }
+    controller::install_acc_with(sim, &cfg, &space, model.as_ref(), !sharded, guard.as_ref());
 }
 
 /// The offline-pretrained ACC model (§4.3), trained once per process (and
@@ -441,11 +396,6 @@ pub fn enable_profile(path: impl Into<PathBuf>) {
 /// Disarm self-profiling, discarding anything collected (tests use this).
 pub fn disable_profile() {
     *profile_registry() = None;
-}
-
-/// True while `--profile` is armed.
-pub fn profile_armed() -> bool {
-    profile_registry().is_some()
 }
 
 /// Label subsequent profiled runs (experiment id / perf scenario name).
@@ -1153,11 +1103,6 @@ pub fn save_results_scaled(name: &str, value: &Value, scale: Scale) {
         Ok(()) => eprintln!("[results] wrote {path}"),
         Err(e) => eprintln!("[results] could not write {path}: {e}"),
     }
-}
-
-/// Back-compat shim: full-scale record.
-pub fn save_results(name: &str, value: &Value) {
-    save_results_scaled(name, value, Scale::FULL);
 }
 
 /// Pretty-print a header for an experiment.

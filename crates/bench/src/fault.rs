@@ -26,7 +26,7 @@
 //! `fault_smoke` integration test and the CI fault-smoke job).
 
 use crate::common::{self, scenario, MatrixCell, Policy, Scale};
-use acc_core::guard::{GuardStats, GuardedController};
+use acc_core::guard::GuardStats;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
 use serde_json::{json, Value};
@@ -94,30 +94,6 @@ impl FaultOutcome {
     pub fn final_configs_valid(&self) -> bool {
         self.invalid_final_configs == 0
     }
-}
-
-fn sum_guard_stats(sim: &mut Simulator) -> Option<GuardStats> {
-    let mut total = GuardStats::default();
-    let mut found = false;
-    for sw in sim.core().topo.switches().to_vec() {
-        if !sim.has_controller(sw) {
-            continue;
-        }
-        sim.with_controller(sw, |c, _| {
-            if let Some(g) = c.as_any_mut().downcast_mut::<GuardedController>() {
-                found = true;
-                let s = g.stats;
-                total.ticks += s.ticks;
-                total.violations_detected += s.violations_detected;
-                total.violations_applied += s.violations_applied;
-                total.clamps += s.clamps;
-                total.trips += s.trips;
-                total.recoveries += s.recoveries;
-                total.fallback_ticks += s.fallback_ticks;
-            }
-        });
-    }
-    found.then_some(total)
 }
 
 /// Count tuned queues whose final ECN config violates the basic safety
@@ -197,7 +173,8 @@ pub fn run_policy(policy: Policy, scale: Scale, seed: u64) -> FaultOutcome {
     sc.sim
         .run_until(horizon + scale.pick(SimTime::from_ms(10), SimTime::from_ms(5)));
 
-    let guard = sum_guard_stats(&mut sc.sim);
+    let (stats, guarded) = common::sum_guard_stats(&mut sc.sim);
+    let guard = guarded.then_some(stats);
     let invalid = invalid_final_configs(&sc.sim);
     let fault_drops = sc.sim.core().fault_drops;
     let summary = sc.fct.borrow().summary();

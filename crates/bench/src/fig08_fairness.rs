@@ -36,7 +36,8 @@ fn run_one(n_senders: usize, policy: Policy, scale: Scale) -> Outcome {
         Policy::Acc => {
             let model = common::pretrained_model(scale);
             let acc = acc_core::trainer::online_config(&common::acc_config(11), 0.08, 500.0);
-            controller::install_acc_with_model(&mut sim, &acc, &ActionSpace::templates(), &model);
+            let space = ActionSpace::templates();
+            controller::install_acc_with(&mut sim, &acc, &space, Some(&model), true, None);
         }
         Policy::Secn1 => install_static(&mut sim, StaticEcnPolicy::Secn1),
         other => panic!("unused policy {other:?}"),

@@ -7,7 +7,7 @@
 //!   batched Double-DQN targets, batched backward, Adam) in steps/sec, plus
 //!   allocations per step from the counting global allocator;
 //! * **inference-tick** — one control tick's worth of per-queue decisions
-//!   (64 queues per tick), batched `select_actions_batch` vs per-queue
+//!   (64 queues per tick), batched `decide_batch` vs per-queue
 //!   `select_action`, in decisions/sec.
 //!
 //! Both scenarios run the batched and scalar paths on identically-seeded
@@ -150,7 +150,7 @@ fn inference_tick(scale: Scale) -> Value {
         let mut s = warm_agent(23);
         let mut decisions: Vec<(usize, f64)> = Vec::new();
         for _ in 0..50 {
-            b.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions);
+            b.decide_batch(&states, QUEUES_PER_TICK, true, &mut decisions);
             for (q, d) in decisions.iter().enumerate() {
                 let a = s.select_action(&states[q * STATE_DIM..(q + 1) * STATE_DIM]);
                 bit_identical &= a == d.0;
@@ -159,14 +159,14 @@ fn inference_tick(scale: Scale) -> Value {
     }
 
     let mut decisions: Vec<(usize, f64)> = Vec::new();
-    batched.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions); // shape once
+    batched.decide_batch(&states, QUEUES_PER_TICK, true, &mut decisions); // shape once
     let mut best_batched = 0f64;
     let mut best_scalar = 0f64;
     let mut sink = 0usize;
     for _ in 0..rounds {
         let start = Instant::now();
         for _ in 0..ticks {
-            batched.select_actions_batch(&states, QUEUES_PER_TICK, &mut decisions);
+            batched.decide_batch(&states, QUEUES_PER_TICK, true, &mut decisions);
             sink ^= decisions[0].0;
         }
         let wall = start.elapsed().as_secs_f64();

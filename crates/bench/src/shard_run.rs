@@ -18,10 +18,9 @@
 //!   1/2/4/8` is the observable determinism contract (`manifest.json`
 //!   carries wall-clock fields and is excluded from diffs).
 //!
-//! Policies must be partition-invariant; see
-//! [`common::install_policy_sharded`]. Closed-loop app hooks and `--profile`
-//! are not supported here (the profiler and its book assume one simulator
-//! per run).
+//! Policies must be partition-invariant; see [`common::install_policy`].
+//! Closed-loop app hooks and `--profile` are not supported here (the
+//! profiler and its book assume one simulator per run).
 
 use crate::common::{self, Policy, Scale};
 use netsim::prelude::*;
@@ -178,7 +177,7 @@ pub fn run_scenario_sharded_phased(
             let mut sim = Simulator::new_sharded(topo_ref.clone(), simcfg, plan_ref, shard);
             let fct = FctCollector::new_shared();
             transport::install_stacks(&mut sim, StackConfig::default(), &fct);
-            common::install_policy_sharded(&mut sim, policy, scale);
+            common::install_policy(&mut sim, policy, scale);
             fct.borrow_mut().reserve(arrivals.len());
             gen::apply_arrivals(&mut sim, arrivals);
             if let Some(fp) = fault_plan {

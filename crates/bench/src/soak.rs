@@ -27,11 +27,10 @@
 
 use crate::common::{self, Policy, Scale};
 use crate::fault::invalid_final_configs;
-use acc_core::controller::AccController;
-use acc_core::guard::{install_guarded_acc, GuardConfig, GuardedController};
+use acc_core::controller::install_acc_with;
 use acc_core::{
-    trainer, ActionSpace, DeployBundle, FleetConfig, FleetManager, PhaseKind, ProbationOutcome,
-    RewardConfig, SoakPlan, SwapOutcome,
+    trainer, ActionSpace, DeployBundle, FleetConfig, FleetManager, GuardConfig, PhaseKind,
+    ProbationOutcome, RewardConfig, SoakPlan, SwapOutcome,
 };
 use netsim::prelude::*;
 use std::cell::RefCell;
@@ -125,19 +124,7 @@ fn total_train_steps(sim: &mut Simulator) -> u64 {
             continue;
         }
         steps += sim.with_controller(sw, |c, _| {
-            if c.as_any_mut().is::<GuardedController>() {
-                let g = c.as_any_mut().downcast_mut::<GuardedController>().unwrap();
-                return g
-                    .inner_mut()
-                    .as_any_mut()
-                    .downcast_mut::<AccController>()
-                    .map(|a| a.stats.train_steps)
-                    .unwrap_or(0);
-            }
-            c.as_any_mut()
-                .downcast_mut::<AccController>()
-                .map(|a| a.stats.train_steps)
-                .unwrap_or(0)
+            trainer::acc_controller(c).map_or(0, |a| a.stats.train_steps)
         });
     }
     steps
@@ -212,12 +199,8 @@ pub fn run_soak_with(
     // Guarded fleet, online fine-tuning from the offline pretrained model.
     let mut sc = common::scenario_installed(&spec, Policy::AccGuarded, scale, seed, &[], |sim| {
         let cfg = trainer::online_config(&common::acc_config(seed), 0.05, 2_000.0);
-        let _ = install_guarded_acc(
-            sim,
-            &cfg,
-            &ActionSpace::templates(),
-            &GuardConfig::default(),
-        );
+        let guard = GuardConfig::default();
+        install_acc_with(sim, &cfg, &space, None, true, Some(&guard));
     });
     let hosts = sc.hosts.clone();
     let host_bps = 25_000_000_000u64;

@@ -263,7 +263,7 @@ fn guarded_policies_are_rejected_sharded() {
         let topo = spec.build();
         let plan = ShardPlan::build(&topo, 2);
         let mut sim = Simulator::new_sharded(topo, SimConfig::default(), &plan, 0);
-        common::install_policy_sharded(&mut sim, Policy::AccGuarded, Scale::QUICK);
+        common::install_policy(&mut sim, Policy::AccGuarded, Scale::QUICK);
     });
     let err = result.expect_err("guarded install must panic in a sharded sim");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

@@ -25,11 +25,11 @@
 //! (§3.4).
 
 use crate::action::ActionSpace;
+use crate::guard::{GuardConfig, GuardedController};
 use crate::reward::RewardConfig;
-use crate::state::{QueueObs, StateWindow};
+use crate::state::ObsTracker;
 use netsim::ids::PRIO_RDMA;
 use netsim::prelude::*;
-use netsim::queues::QueueTelemetry;
 use rl::{DdqnAgent, DdqnConfig, ReplayBuffer, Transition};
 use std::any::Any;
 use std::cell::RefCell;
@@ -88,14 +88,65 @@ impl Default for AccConfig {
     }
 }
 
-/// A queue that reached its decision point this control tick. Collected
-/// during the per-queue telemetry pass and consumed by the end-of-tick
-/// batched selection pass.
+/// The batched decide step every ACC controller runs once per tick: each
+/// decision point appends its state to `states` and what it decides (a
+/// queue, a link) to `rows`, then one [`DecideBatch::decide`] selects every
+/// row's action, yielded in row order for the caller to apply.
+#[derive(Default)]
+pub(crate) struct DecideBatch<T> {
+    /// What each row decides.
+    pub(crate) rows: Vec<T>,
+    /// Packed `[rows × state_dim]` states.
+    pub(crate) states: Vec<f32>,
+    decisions: Vec<(usize, f64)>,
+}
+
+impl<T> DecideBatch<T> {
+    /// Empty the batch, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.states.clear();
+    }
+
+    /// Decide every row, yielding `(row, state, (action, ε))`: ε-greedy with
+    /// `explore`, otherwise greedy paired with the current ε. `scalar`
+    /// routes through the per-row scalar reference kernels instead of one
+    /// batched forward pass; both consume the RNG identically and are
+    /// bit-identical by contract.
+    pub(crate) fn decide(
+        &mut self,
+        agent: &mut DdqnAgent,
+        explore: bool,
+        scalar: bool,
+    ) -> impl Iterator<Item = (&T, &[f32], (usize, f64))> {
+        let dim = agent.state_dim();
+        if scalar {
+            self.decisions.clear();
+            for s in self.states.chunks_exact(dim) {
+                let a = if explore {
+                    agent.select_action(s)
+                } else {
+                    agent.best_action(s)
+                };
+                self.decisions.push((a, agent.epsilon()));
+            }
+        } else {
+            let rows = self.rows.len();
+            agent.decide_batch(&self.states, rows, explore, &mut self.decisions);
+        }
+        let states = self.states.chunks_exact(dim);
+        self.rows
+            .iter()
+            .zip(states)
+            .zip(self.decisions.iter().copied())
+            .map(|((r, s), d)| (r, s, d))
+    }
+}
+
+/// A queue that reached its decision point this control tick.
+#[derive(Default)]
 struct PendingDecision {
     key: (u16, Prio),
-    port: PortId,
-    prio: Prio,
-    state: Vec<f32>,
     reward: f64,
     /// Replay length *right after this queue's observe*: the scalar
     /// reference records queue `i` before queue `i+1` observes, so the
@@ -105,10 +156,8 @@ struct PendingDecision {
 
 /// Per-queue bookkeeping.
 struct QueueCtx {
-    window: StateWindow,
+    obs: ObsTracker,
     prev: Option<(Vec<f32>, usize)>,
-    prev_telem: QueueTelemetry,
-    last_tick: SimTime,
     action_idx: usize,
     /// §4.2 busy/idle machinery.
     idle: bool,
@@ -150,10 +199,7 @@ pub struct AccController {
     last_td_loss: Option<f32>,
     /// Per-tick batched-inference scratch, persistent across ticks so the
     /// steady-state control loop does not grow the heap.
-    pending: Vec<PendingDecision>,
-    tick_states: Vec<f32>,
-    decisions: Vec<(usize, f64)>,
-    greedy: Vec<usize>,
+    batch: DecideBatch<PendingDecision>,
 }
 
 impl AccController {
@@ -185,10 +231,7 @@ impl AccController {
             last_rewards: HashMap::new(),
             recorder: None,
             last_td_loss: None,
-            pending: Vec::new(),
-            tick_states: Vec::new(),
-            decisions: Vec::new(),
-            greedy: Vec::new(),
+            batch: DecideBatch::default(),
         }
     }
 
@@ -209,11 +252,6 @@ impl AccController {
     /// [`telemetry::AgentSample`].
     pub fn set_recorder(&mut self, rec: telemetry::SharedRecorder) {
         self.recorder = Some(rec);
-    }
-
-    /// The action space in use.
-    pub fn action_space(&self) -> &ActionSpace {
-        &self.space
     }
 
     /// Snapshot the current model.
@@ -239,70 +277,35 @@ impl AccController {
     }
 
     /// Phase A of a control tick: read telemetry, compute the reward, store
-    /// the previous transition, and (unless the queue is idle) queue a
-    /// [`PendingDecision`] for the batched selection pass.
+    /// the previous transition, and (unless the queue is idle) append the
+    /// queue's state to the tick's [`DecideBatch`].
     fn prepare_queue(&mut self, view: &mut SwitchView<'_>, port: PortId, prio: Prio) {
         let snap = view.snapshot(port, prio);
         let now = view.now();
         let key = (port.0, prio);
-        let k = self.cfg.history_k;
-        let space_len = self.space.len();
-
-        let q = self.queues.entry(key).or_insert_with(|| {
-            // First sight of this queue: encode whatever config it carries.
-            let action_idx = snap
+        let space = &self.space;
+        let q = self.queues.entry(key).or_insert_with(|| QueueCtx {
+            // First sight of this queue: measure from this reading and
+            // encode whatever config it carries.
+            obs: ObsTracker::new(self.cfg.history_k, snap.telem, now),
+            prev: None,
+            action_idx: snap
                 .ecn
-                .map(|e| self.space.nearest(&e))
-                .unwrap_or(space_len / 2);
-            QueueCtx {
-                window: StateWindow::new(k),
-                prev: None,
-                prev_telem: snap.telem,
-                last_tick: now,
-                action_idx,
-                idle: false,
-                last_reward: f64::NAN,
-                unchanged_slots: 0,
-            }
+                .map(|e| space.nearest(&e))
+                .unwrap_or(space.len() / 2),
+            idle: false,
+            last_reward: f64::NAN,
+            unchanged_slots: 0,
         });
-
-        let dt = now.saturating_sub(q.last_tick);
-        if dt == SimTime::ZERO {
+        let ecn_encoded = space.encode(q.action_idx);
+        let Some(interval) =
+            q.obs
+                .observe(now, snap.qlen_bytes, snap.telem, snap.link_bps, ecn_encoded)
+        else {
             return;
-        }
-        // Saturating deltas: a faulted/rebooted switch can hand the agent
-        // counters *below* the previous reading (see netsim's telemetry
-        // faults); treat a regression as "no progress", not as wraparound.
-        let tx_bytes = snap.telem.tx_bytes.saturating_sub(q.prev_telem.tx_bytes);
-        let tx_marked = snap
-            .telem
-            .tx_marked_bytes
-            .saturating_sub(q.prev_telem.tx_marked_bytes);
-        let qlen_integral = snap
-            .telem
-            .qlen_integral_byte_ps
-            .saturating_sub(q.prev_telem.qlen_integral_byte_ps);
-        let avg_qlen = (qlen_integral / dt.as_ps() as u128) as u64;
-        let utilization = if snap.link_bps > 0 {
-            (tx_bytes as f64 * 8.0) / (snap.link_bps as f64 * dt.as_secs_f64())
-        } else {
-            0.0
         };
-        let reward = self.cfg.reward.reward(utilization, avg_qlen);
+        let reward = interval.reward(&self.cfg.reward);
         self.last_rewards.insert(key, reward);
-
-        let obs = QueueObs {
-            qlen_bytes: snap.qlen_bytes,
-            tx_bytes,
-            tx_marked_bytes: tx_marked,
-            dt,
-            link_bps: snap.link_bps,
-            ecn_encoded: self.space.encode(q.action_idx),
-        };
-        q.window.push(&obs);
-        q.prev_telem = snap.telem;
-        q.last_tick = now;
-        let state = q.window.state();
 
         // §4.2 busy/idle: skip inference for quiet queues. A queue becomes
         // idle after three slots below Kmin with an unchanged reward; it
@@ -337,6 +340,8 @@ impl AccController {
             }
         }
 
+        let row = self.batch.states.len();
+        q.obs.window().extend_state(&mut self.batch.states);
         // Learn from the previous action.
         let mut agent = self.agent.borrow_mut();
         if let Some((ps, pa)) = q.prev.take() {
@@ -345,77 +350,45 @@ impl AccController {
                     state: ps,
                     action: pa,
                     reward: reward as f32,
-                    next_state: state.clone(),
+                    next_state: self.batch.states[row..].to_vec(),
                     done: false,
                 });
             }
         }
-        let replay_len = agent.replay.len();
-        drop(agent);
-
-        // Defer the ε-greedy selection to the end-of-tick batched pass.
-        self.pending.push(PendingDecision {
+        // The ε-greedy selection waits for the end-of-tick decide step.
+        self.batch.rows.push(PendingDecision {
             key,
-            port,
-            prio,
-            state,
             reward,
-            replay_len,
+            replay_len: agent.replay.len(),
         });
     }
 
-    /// Phases B and C of a control tick: one batched forward pass selects
-    /// an action for every pending queue, then records and applies them in
-    /// the original queue order. With `cfg.scalar_inference` the selection
-    /// runs through the per-queue scalar reference instead; both paths
-    /// consume the RNG identically and are bit-identical by contract.
+    /// Phases B and C of a control tick: one decide step selects an action
+    /// for every pending queue, then records and applies them in the
+    /// original queue order.
     fn decide_pending(&mut self, view: &mut SwitchView<'_>) {
-        let n = self.pending.len();
+        let n = self.batch.rows.len();
         if n == 0 {
             return;
         }
-        let mut agent = self.agent.borrow_mut();
-        if self.cfg.scalar_inference {
-            self.decisions.clear();
-            for d in &self.pending {
-                let a = if self.cfg.explore {
-                    agent.select_action(&d.state)
-                } else {
-                    agent.best_action(&d.state)
-                };
-                self.decisions.push((a, agent.epsilon()));
-            }
-        } else {
-            self.tick_states.clear();
-            for d in &self.pending {
-                self.tick_states.extend_from_slice(&d.state);
-            }
-            if self.cfg.explore {
-                agent.select_actions_batch(&self.tick_states, n, &mut self.decisions);
-            } else {
-                agent.best_actions_batch(&self.tick_states, n, &mut self.greedy);
-                let eps = agent.epsilon();
-                self.decisions.clear();
-                self.decisions.extend(self.greedy.iter().map(|&a| (a, eps)));
-            }
-        }
-        let train_steps = agent.train_steps();
-        drop(agent);
         self.stats.inferences += n as u64;
-
         let now = view.now();
         let node = view.node().0;
-        for i in 0..n {
-            let (action, epsilon) = self.decisions[i];
-            let d = &mut self.pending[i];
+        let mut agent = self.agent.borrow_mut();
+        let train_steps = agent.train_steps();
+        let decided = self
+            .batch
+            .decide(&mut agent, self.cfg.explore, self.cfg.scalar_inference);
+        for (d, state, (action, epsilon)) in decided {
+            let (port, prio) = (PortId(d.key.0), d.key.1);
             let ecn = self.space.get(action);
             if let Some(rec) = &self.recorder {
                 rec.borrow_mut().record_agent(&telemetry::AgentSample {
                     t_ps: now.as_ps(),
                     node,
-                    port: d.port.0,
-                    prio: d.prio,
-                    state: d.state.clone(),
+                    port: port.0,
+                    prio,
+                    state: state.to_vec(),
                     action_idx: action,
                     kmin_bytes: ecn.kmin_bytes,
                     kmax_bytes: ecn.kmax_bytes,
@@ -428,11 +401,11 @@ impl AccController {
                 });
             }
             let q = self.queues.get_mut(&d.key).expect("pending queue exists");
-            q.prev = Some((std::mem::take(&mut d.state), action));
+            q.prev = Some((state.to_vec(), action));
             q.action_idx = action;
-            view.set_ecn(d.port, d.prio, Some(ecn));
+            view.set_ecn(port, prio, Some(ecn));
         }
-        self.pending.clear();
+        self.batch.clear();
     }
 
     fn maybe_exchange(&mut self) {
@@ -512,26 +485,62 @@ impl QueueController for AccController {
     }
 }
 
-/// Install ACC controllers on every switch. Each switch gets its own agent
-/// (cloned exploration schedules differ by `seed + switch index`) and all of
-/// them share one global replay memory, as in the paper's multi-agent design.
-///
-/// Returns the shared global replay handle.
+/// Install ACC controllers on every switch with the paper's multi-agent
+/// layout: one agent per switch, all sharing one global replay memory.
+/// Returns the shared global replay handle. See [`install_acc_with`].
 pub fn install_acc(
     sim: &mut Simulator,
     cfg: &AccConfig,
     space: &ActionSpace,
 ) -> Rc<RefCell<ReplayBuffer>> {
-    let global = Rc::new(RefCell::new(ReplayBuffer::new(
-        cfg.ddqn.replay_capacity * 4,
-    )));
+    install_acc_with(sim, cfg, space, None, true, None).expect("shared replay requested")
+}
+
+/// Install one ACC agent on every switch: the single installer behind every
+/// D-ACC arm. Switch `i` in `topo.switches()` order gets seed
+/// `cfg.seed + i` (cloned exploration schedules differ per switch), and on
+/// a sharded simulator `i` stays the *global* index.
+///
+/// * `model` — start every agent from these weights (§4.3 offline →
+///   online hand-off) instead of a fresh initialisation.
+/// * `shared_replay` — share one global replay memory across switches and
+///   return its handle (§3.4). Without it every agent keeps a private
+///   replay, so a switch's trajectory depends on the switch alone and not
+///   on which switches share its process: what keeps sharded runs
+///   byte-identical across shard counts.
+/// * `guard` — wrap each controller in a [`GuardedController`].
+pub fn install_acc_with(
+    sim: &mut Simulator,
+    cfg: &AccConfig,
+    space: &ActionSpace,
+    model: Option<&rl::Mlp>,
+    shared_replay: bool,
+    guard: Option<&GuardConfig>,
+) -> Option<Rc<RefCell<ReplayBuffer>>> {
+    let global = shared_replay.then(|| {
+        Rc::new(RefCell::new(ReplayBuffer::new(
+            cfg.ddqn.replay_capacity * 4,
+        )))
+    });
     let switches: Vec<NodeId> = sim.core().topo.switches().to_vec();
     for (i, sw) in switches.into_iter().enumerate() {
         let mut c = cfg.clone();
         c.seed = cfg.seed.wrapping_add(i as u64);
-        let mut ctl = AccController::new(c, space.clone());
-        ctl.set_global_replay(global.clone());
-        sim.set_controller(sw, Box::new(ctl));
+        let prios = c.target_prios.clone();
+        let mut ctl = match model {
+            Some(m) => AccController::from_model(c, space.clone(), m),
+            None => AccController::new(c, space.clone()),
+        };
+        if let Some(g) = &global {
+            ctl.set_global_replay(g.clone());
+        }
+        // `set_controller` drops the install on foreign switches in sharded
+        // mode.
+        let ctl: Box<dyn QueueController> = match guard {
+            Some(g) => Box::new(GuardedController::new(Box::new(ctl), g.clone(), prios)),
+            None => Box::new(ctl),
+        };
+        sim.set_controller(sw, ctl);
     }
     global
 }
@@ -556,59 +565,6 @@ pub fn attach_recorder(sim: &mut Simulator, rec: &telemetry::SharedRecorder) {
             }
         });
     }
-}
-
-/// Install fully independent ACC controllers — no shared replay memory.
-///
-/// Each switch gets its own agent with its own private replay buffer,
-/// seeded by the switch's *global* index in `topo.switches()` order. That
-/// makes per-switch behaviour a function of the switch alone, not of which
-/// other switches happen to share its process — exactly the property a
-/// sharded run needs: shard `k` installs controllers only on the switches
-/// it owns, yet every switch computes the same decisions it would in a
-/// single-shard run, so merged telemetry is byte-identical across shard
-/// counts. (The paper's shared-replay multi-agent design is inherently
-/// order-dependent across switches; use [`install_acc`] for faithful
-/// single-process training runs.)
-pub fn install_acc_independent(
-    sim: &mut Simulator,
-    cfg: &AccConfig,
-    space: &ActionSpace,
-    model: Option<&rl::Mlp>,
-) {
-    let switches: Vec<NodeId> = sim.core().topo.switches().to_vec();
-    for (i, sw) in switches.into_iter().enumerate() {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(i as u64);
-        let ctl = match model {
-            Some(m) => AccController::from_model(c, space.clone(), m),
-            None => AccController::new(c, space.clone()),
-        };
-        // `set_controller` drops the install on foreign switches in sharded
-        // mode; the seed above stays the *global* index either way.
-        sim.set_controller(sw, Box::new(ctl));
-    }
-}
-
-/// Install ACC controllers that all start from `model`.
-pub fn install_acc_with_model(
-    sim: &mut Simulator,
-    cfg: &AccConfig,
-    space: &ActionSpace,
-    model: &rl::Mlp,
-) -> Rc<RefCell<ReplayBuffer>> {
-    let global = Rc::new(RefCell::new(ReplayBuffer::new(
-        cfg.ddqn.replay_capacity * 4,
-    )));
-    let switches: Vec<NodeId> = sim.core().topo.switches().to_vec();
-    for (i, sw) in switches.into_iter().enumerate() {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(i as u64);
-        let mut ctl = AccController::from_model(c, space.clone(), model);
-        ctl.set_global_replay(global.clone());
-        sim.set_controller(sw, Box::new(ctl));
-    }
-    global
 }
 
 #[cfg(test)]

@@ -34,9 +34,7 @@ use netsim::prelude::*;
 use netsim::queues::{EcnConfig, QueueTelemetry};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Tunables of the safe-mode guard.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -603,38 +601,6 @@ impl QueueController for GuardedController {
     }
 }
 
-/// Install guarded ACC controllers on every switch: same layout as
-/// [`crate::controller::install_acc`] (per-switch agents, shared global
-/// replay), with each [`AccController`] wrapped in a [`GuardedController`]
-/// using `guard_cfg`. Returns the shared global replay handle.
-pub fn install_guarded_acc(
-    sim: &mut Simulator,
-    cfg: &crate::controller::AccConfig,
-    space: &crate::action::ActionSpace,
-    guard_cfg: &GuardConfig,
-) -> Rc<RefCell<rl::ReplayBuffer>> {
-    let global = Rc::new(RefCell::new(rl::ReplayBuffer::new(
-        cfg.ddqn.replay_capacity * 4,
-    )));
-    let switches: Vec<NodeId> = sim.core().topo.switches().to_vec();
-    for (i, sw) in switches.into_iter().enumerate() {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(i as u64);
-        let prios = c.target_prios.clone();
-        let mut ctl = AccController::new(c, space.clone());
-        ctl.set_global_replay(global.clone());
-        sim.set_controller(
-            sw,
-            Box::new(GuardedController::new(
-                Box::new(ctl),
-                guard_cfg.clone(),
-                prios,
-            )),
-        );
-    }
-    global
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,7 +795,9 @@ mod tests {
         cfg.ddqn.min_replay = 8;
         cfg.ddqn.batch_size = 8;
         let space = crate::action::ActionSpace::templates();
-        let _g = install_guarded_acc(&mut sim, &cfg, &space, &GuardConfig::default());
+        let guard = GuardConfig::default();
+        let _g =
+            crate::controller::install_acc_with(&mut sim, &cfg, &space, None, true, Some(&guard));
         sim.run_until(SimTime::from_ms(1));
         for sw in sim.core().topo.switches().to_vec() {
             sim.with_controller(sw, |c, _| {

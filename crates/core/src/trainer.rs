@@ -50,36 +50,24 @@ pub fn install_shared_training(
     agent
 }
 
-/// [`install_shared_training`] plus a flight recorder on every controller:
-/// offline-training runs then leave the same agent time-series
-/// (ε/reward/TD-loss curves) as online runs, so training convergence can be
-/// audited with `acc-bench report`.
-pub fn install_shared_training_recorded(
-    sim: &mut Simulator,
-    cfg: &AccConfig,
-    space: &ActionSpace,
-    rec: &telemetry::SharedRecorder,
-) -> Rc<RefCell<DdqnAgent>> {
-    let agent = install_shared_training(sim, cfg, space);
-    crate::controller::attach_recorder(sim, rec);
-    agent
-}
-
-/// Resolve the [`AccController`] behind a switch controller, looking
-/// through a [`crate::guard::GuardedController`] wrapper if present.
-fn acc_mut(c: &mut dyn QueueController) -> &mut AccController {
+/// The [`AccController`] behind a switch controller, looking through a
+/// [`crate::guard::GuardedController`] wrapper if present; `None` for any
+/// other controller.
+pub fn acc_controller(c: &mut dyn QueueController) -> Option<&mut AccController> {
     // Two-step probe rather than if-let chains: the borrow of `c` must end
     // before the second downcast attempt.
     if c.as_any_mut().is::<AccController>() {
-        return c.as_any_mut().downcast_mut::<AccController>().unwrap();
+        return c.as_any_mut().downcast_mut::<AccController>();
     }
     c.as_any_mut()
-        .downcast_mut::<crate::guard::GuardedController>()
-        .expect("switch runs neither AccController nor GuardedController")
+        .downcast_mut::<crate::guard::GuardedController>()?
         .inner_mut()
         .as_any_mut()
         .downcast_mut::<AccController>()
-        .expect("guarded switch does not wrap an AccController")
+}
+
+fn acc_mut(c: &mut dyn QueueController) -> &mut AccController {
+    acc_controller(c).expect("switch runs no AccController, bare or guarded")
 }
 
 /// Extract the trained model from any switch of a simulation that runs

@@ -3,7 +3,8 @@
 //! telemetry resumes, and a probation rollback restores the pre-swap policy
 //! bit-exactly on every switch.
 
-use acc_core::guard::{install_guarded_acc, GuardConfig, GuardObs, GuardedController, QueueGuard};
+use acc_core::controller::install_acc_with;
+use acc_core::guard::{GuardConfig, GuardObs, GuardedController, QueueGuard};
 use acc_core::{
     trainer, ActionSpace, DeployBundle, FleetConfig, FleetManager, ProbationOutcome, RewardConfig,
     SwapOutcome,
@@ -105,7 +106,7 @@ proptest! {
         let mut sim = Simulator::new(topo, SimConfig::default().with_seed(9));
         let space = ActionSpace::templates();
         let cfg = trainer::online_config(&acc_core::AccConfig::default(), 0.05, 1_000.0);
-        install_guarded_acc(&mut sim, &cfg, &space, &GuardConfig::default());
+        install_acc_with(&mut sim, &cfg, &space, None, true, Some(&GuardConfig::default()));
 
         let initial = DeployBundle::new(
             "prop initial",

@@ -443,6 +443,12 @@ impl SimCore {
             .unwrap_or((0, 0))
     }
 
+    /// Whether this core is one shard of a sharded run (true even for a
+    /// single shard, which runs the full sharded machinery).
+    pub fn is_sharded(&self) -> bool {
+        self.shard.is_some()
+    }
+
     /// Whether this core owns `node` (always true on an unsharded core).
     /// Telemetry samplers and harness readbacks use this to emit each node's
     /// data from exactly one shard.

@@ -182,21 +182,23 @@ impl DdqnAgent {
         best
     }
 
-    /// Batched ε-greedy selection over `batch` states packed row-major into
+    /// The batched decide step over `batch` states packed row-major into
     /// `states` (`[batch × state_dim]` flat). Pushes one `(action,
-    /// epsilon_after)` pair per row onto `out` (cleared first), where
-    /// `epsilon_after` is the schedule value right after that row's decision
-    /// — exactly what the scalar `select_action` + `epsilon()` call pair
-    /// reports per decision.
+    /// epsilon)` pair per row onto `out` (cleared first).
     ///
-    /// Determinism contract: consumes the RNG stream identically to calling
-    /// [`DdqnAgent::select_action`] once per row in order, and greedy rows
-    /// read a batched forward pass that is bit-identical to the scalar
-    /// forward — so the chosen actions match the scalar path exactly.
-    pub fn select_actions_batch(
+    /// With `explore`, rows are ε-greedy and `epsilon` is the schedule value
+    /// right after that row's decision — exactly what the scalar
+    /// `select_action` + `epsilon()` call pair reports — and the RNG stream
+    /// is consumed identically to calling [`DdqnAgent::select_action`] once
+    /// per row in order. Without, every row is greedy (no exploration, no
+    /// schedule side effects) and carries the current ε. Greedy rows read a
+    /// batched forward pass that is bit-identical to the scalar forward, so
+    /// the chosen actions match the scalar path exactly.
+    pub fn decide_batch(
         &mut self,
         states: &[f32],
         batch: usize,
+        explore: bool,
         out: &mut Vec<(usize, f64)>,
     ) {
         out.clear();
@@ -207,9 +209,12 @@ impl DdqnAgent {
         self.eval.forward_batch(states, batch, &mut self.infer);
         let mut anomalies = 0u64;
         for s in 0..batch {
-            let eps = self.epsilon();
-            self.select_steps += 1;
-            let action = if self.rng.gen::<f64>() < eps {
+            let explored = explore && {
+                let eps = self.epsilon();
+                self.select_steps += 1;
+                self.rng.gen::<f64>() < eps
+            };
+            let action = if explored {
                 self.rng.gen_range(0..n_actions)
             } else {
                 // Only greedy rows consult Q-values, so anomaly counts stay
@@ -221,29 +226,6 @@ impl DdqnAgent {
                 best
             };
             out.push((action, self.epsilon()));
-        }
-        if anomalies > 0 {
-            self.anomalies.set(self.anomalies.get() + anomalies);
-        }
-    }
-
-    /// Batched greedy inference (no exploration, no schedule side effects):
-    /// one forward pass over the packed batch, one action per row pushed
-    /// onto `out` (cleared first). Bit-identical to calling
-    /// [`DdqnAgent::best_action`] per row.
-    pub fn best_actions_batch(&mut self, states: &[f32], batch: usize, out: &mut Vec<usize>) {
-        out.clear();
-        if batch == 0 {
-            return;
-        }
-        self.eval.forward_batch(states, batch, &mut self.infer);
-        let mut anomalies = 0u64;
-        for s in 0..batch {
-            let (best, saw_nan) = argmax_checked(self.infer.output_row(s));
-            if saw_nan {
-                anomalies += 1;
-            }
-            out.push(best);
         }
         if anomalies > 0 {
             self.anomalies.set(self.anomalies.get() + anomalies);
@@ -711,7 +693,7 @@ mod tests {
             let states: Vec<f32> = (0..batch * 2)
                 .map(|i| ((round * 13 + i * 7) % 19) as f32 * 0.1)
                 .collect();
-            a.select_actions_batch(&states, batch, &mut out);
+            a.decide_batch(&states, batch, true, &mut out);
             assert_eq!(out.len(), batch);
             for (s, &(action, eps)) in out.iter().enumerate() {
                 let scalar_action = b.select_action(&states[s * 2..(s + 1) * 2]);
@@ -719,12 +701,14 @@ mod tests {
                 assert_eq!(eps, b.epsilon(), "recorded epsilon drifted");
             }
         }
-        // Greedy batch agrees with best_action per row.
+        // The greedy decide step agrees with best_action per row and
+        // leaves the schedule alone.
         let states = [0.3, 0.6, 0.9, 0.1];
         let mut greedy = Vec::new();
-        a.best_actions_batch(&states, 2, &mut greedy);
-        assert_eq!(greedy[0], b.best_action(&states[0..2]));
-        assert_eq!(greedy[1], b.best_action(&states[2..4]));
+        a.decide_batch(&states, 2, false, &mut greedy);
+        assert_eq!(greedy[0], (b.best_action(&states[0..2]), b.epsilon()));
+        assert_eq!(greedy[1], (b.best_action(&states[2..4]), b.epsilon()));
+        assert_eq!(a.epsilon(), b.epsilon());
         // And batched Q-values match scalar Q-values.
         let mut q = Vec::new();
         a.q_values_batch(&states, 2, &mut q);

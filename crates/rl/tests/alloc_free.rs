@@ -61,7 +61,7 @@ fn steady_state_train_and_select_allocate_nothing() {
     }
     let states: Vec<f32> = (0..8 * 12).map(|i| (i % 11) as f32 * 0.05).collect();
     let mut decisions = Vec::new();
-    agent.select_actions_batch(&states, 8, &mut decisions);
+    agent.decide_batch(&states, 8, true, &mut decisions);
 
     // Steady state: 20 train steps (4 target syncs) + batched selections.
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -70,7 +70,7 @@ fn steady_state_train_and_select_allocate_nothing() {
         assert!(loss.is_some());
     }
     for _ in 0..20 {
-        agent.select_actions_batch(&states, 8, &mut decisions);
+        agent.decide_batch(&states, 8, true, &mut decisions);
         assert_eq!(decisions.len(), 8);
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;

@@ -59,7 +59,7 @@ fn offline_training_produces_redeployable_model() {
     let fct2 = FctCollector::new_shared();
     let hosts2 = transport::install_stacks(&mut sim2, StackConfig::default(), &fct2);
     let frozen = trainer::frozen_config(&acc_cfg());
-    controller::install_acc_with_model(&mut sim2, &frozen, &space, &reloaded);
+    controller::install_acc_with(&mut sim2, &frozen, &space, Some(&reloaded), true, None);
     drive_random_incast(&mut sim2, &hosts2, 6, 2);
     // Frozen controllers must not have trained.
     for sw in sim2.core().topo.switches().to_vec() {
@@ -108,7 +108,7 @@ fn online_fine_tuning_keeps_learning_after_pretrain() {
     let fct = FctCollector::new_shared();
     let hosts = transport::install_stacks(&mut sim, StackConfig::default(), &fct);
     let online = trainer::online_config(&base, 0.1, 200.0);
-    controller::install_acc_with_model(&mut sim, &online, &space, &model);
+    controller::install_acc_with(&mut sim, &online, &space, Some(&model), true, None);
     drive_random_incast(&mut sim, &hosts, 10, 4);
     let sw = sim.core().topo.switches()[0];
     sim.with_controller(sw, |c, _| {
